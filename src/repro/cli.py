@@ -406,6 +406,9 @@ def cmd_serve(args) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("repro serve: shut down")
+    for tenant_id, error in server.registry.drain_errors:
+        print(f"repro serve: tenant {tenant_id!r}: drain failed at "
+              f"shutdown, admitted ops may be lost: {error}", file=sys.stderr)
     return 0
 
 

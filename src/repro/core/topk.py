@@ -54,7 +54,7 @@ from repro.index.conetree import ConeTree
 from repro.index.kdtree import KDTree
 from repro.parallel import blocks as _pblocks
 from repro.parallel.backend import ExecutionBackend
-from repro.parallel.compiled import eviction_positions, reached_utilities
+from repro.parallel.kernels import bootstrap_chunk, repair_columns
 from repro.utils import check_epsilon, check_k
 
 ADD = "+"
@@ -427,7 +427,12 @@ class MemberStore:
         scores = self._row_scores[i][:n]
         k = self._k
         row = np.full(k, -np.inf)
-        if n > k:
+        if k == 1:
+            # max() is the partition's top value (the engine-wide k = 1
+            # selection rule, see repro.parallel.kernels.column_top_k).
+            if n:
+                row[0] = scores.max()
+        elif n > k:
             row[:] = np.partition(scores, n - k)[n - k:]
             row.sort()
         elif n:
@@ -623,8 +628,12 @@ class ApproxTopKIndex:
     Attributes
     ----------
     build_profile : dict[str, float]
-        Cold-start phase breakdown in seconds (tree builds, bootstrap
-        GEMM + partition, membership fill, threshold activation).
+        Cold-start phase breakdown in seconds: ``kdtree_build``,
+        ``conetree_build``, ``bootstrap_kernel`` (the chunk kernels:
+        GEMM, top-k selection and membership extraction),
+        ``membership_install`` (member rows and the inverted index) and
+        ``threshold_activate``. Timing only: outside ``stats()`` and
+        every digest.
     """
 
     def __init__(self, db: Database, utilities: ArrayLike, k: int, eps: float, *,
@@ -962,28 +971,25 @@ class ApproxTopKIndex:
     def _bootstrap(self, ids: IndexArray, pts: FloatArray) -> None:
         """Vectorized initial computation of every ``Φ_{k,ε}``.
 
-        One GEMM + one partition per utility chunk produce scores,
-        thresholds, and the ``(M, k)`` top-score matrix; memberships are
-        extracted with a single boolean scatter per chunk and installed
-        as array slices — no per-member Python loop. The inverted index
-        is assembled once at the end from the flat (pid, utility) pairs.
+        Each canonical utility chunk (:func:`repro.parallel.blocks.
+        bootstrap_chunks`) goes through
+        :func:`repro.parallel.kernels.bootstrap_chunk` — inline, or on
+        the backend when one is set; results are byte-identical either
+        way. A chunk yields its thresholds, ``(b, k)`` top-score rows
+        and members in utility-major order, which are installed as
+        array slices — no per-member Python loop — strictly in chunk
+        order. The inverted index is assembled once at the end from the
+        flat (pid, utility) pairs.
         """
         n = ids.shape[0]
         m_total, k, store = self._m_total, self._k, self._store
-        t_gemm = t_fill = 0.0
         inv_pids: list[IndexArray] = []
         inv_owners: list[IndexArray] = []
         all_taus = np.zeros(m_total)
-        if n > 0 and self._backend is not None:
-            # Backend path: the same canonical chunks (the rule below is
-            # shared via repro.parallel.blocks), each computed by the
-            # bootstrap_chunk kernel — the exact per-chunk NumPy calls
-            # of the inline loop — then installed strictly in chunk
-            # order. Byte-identical to the inline path at any worker
-            # count.
+        chunks = _pblocks.bootstrap_chunks(n, m_total) if n > 0 else []
+        t0 = time.perf_counter()
+        if chunks and self._backend is not None:
             backend = self._backend
-            chunks = _pblocks.bootstrap_chunks(n, m_total)
-            t0 = time.perf_counter()
             pts_ref = backend.ship(pts)
             ids_ref = backend.ship(ids)
             u_ref = backend.share("u", 0, self._u)
@@ -991,61 +997,22 @@ class ApproxTopKIndex:
                 {"pts": pts_ref, "ids": ids_ref, "u": u_ref,
                  "start": start, "end": end, "k": k, "eps": self._eps}
                 for start, end in chunks])
-            t1 = time.perf_counter()
-            t_gemm = t1 - t0
-            for (start, end), chunk_out in zip(chunks, results):
-                (taus, topk_rows, bounds, cols,
-                 member_pids, member_scores, mins) = chunk_out
-                for col in range(end - start):
-                    s, e = bounds[col], bounds[col + 1]
-                    store.set_row_bootstrap(
-                        start + col, member_pids[s:e], member_scores[s:e],
-                        topk_rows[col], float(mins[col]) if e > s else np.inf)
-                inv_pids.append(member_pids)
-                inv_owners.append(cols + start)
-                all_taus[start:end] = taus
-            t_fill = time.perf_counter() - t1
-        elif n > 0:
-            chunk = max(1, int(_pblocks.BOOTSTRAP_CHUNK_ELEMS // max(1, n)))
-            for start in range(0, m_total, chunk):
-                block = self._u[start:start + chunk]
-                b = block.shape[0]
-                t0 = time.perf_counter()
-                scores = pts @ block.T  # (n, b)
-                if n <= k:
-                    # reprolint: disable=RPL008 -- per-GEMM-chunk, not per-op
-                    taus = np.zeros(b)
-                    topk_rows = np.full((b, k), -np.inf)
-                    topk_rows[:, k - n:] = np.sort(scores, axis=0).T
-                else:
-                    part = np.partition(scores, range(n - k, n), axis=0)
-                    topk_rows = part[n - k:].T  # (b, k) ascending
-                    taus = (1.0 - self._eps) * topk_rows[:, 0]
-                t1 = time.perf_counter()
-                # Column-major membership extraction: one boolean gather
-                # yields every utility's members (ascending row order,
-                # matching the legacy per-column fill).
-                hits = scores.T >= taus[:, None]  # (b, n)
-                counts = hits.sum(axis=1)
-                bounds = np.r_[0, np.cumsum(counts)]
-                cols, rows = np.nonzero(hits)
-                member_pids = ids[rows]
-                member_scores = scores.T[hits]
-                if member_scores.size:
-                    mins = np.minimum.reduceat(member_scores, bounds[:-1])
-                else:
-                    # reprolint: disable=RPL008 -- per-GEMM-chunk, not per-op
-                    mins = np.empty(0)
-                for col in range(b):
-                    s, e = bounds[col], bounds[col + 1]
-                    store.set_row_bootstrap(
-                        start + col, member_pids[s:e], member_scores[s:e],
-                        topk_rows[col], float(mins[col]) if e > s else np.inf)
-                inv_pids.append(member_pids)
-                inv_owners.append(cols + start)
-                all_taus[start:start + b] = taus
-                t_gemm += t1 - t0
-                t_fill += time.perf_counter() - t1
+        else:
+            results = [bootstrap_chunk(pts, ids, self._u, start, end, k,
+                                       self._eps)
+                       for start, end in chunks]
+        t1 = time.perf_counter()
+        for (start, end), chunk_out in zip(chunks, results):
+            (taus, topk_rows, bounds, cols,
+             member_pids, member_scores, mins) = chunk_out
+            for col in range(end - start):
+                s, e = bounds[col], bounds[col + 1]
+                store.set_row_bootstrap(
+                    start + col, member_pids[s:e], member_scores[s:e],
+                    topk_rows[col], float(mins[col]) if e > s else np.inf)
+            inv_pids.append(member_pids)
+            inv_owners.append(cols + start)
+            all_taus[start:end] = taus
         t2 = time.perf_counter()
         if inv_pids:
             pids = np.concatenate(inv_pids)
@@ -1066,8 +1033,8 @@ class ApproxTopKIndex:
             for i in range(m_total):
                 self._cone.activate(i, float(all_taus[i]))
         t4 = time.perf_counter()
-        self.build_profile["bootstrap_gemm"] = t_gemm
-        self.build_profile["membership_fill"] = t_fill + (t3 - t2)
+        self.build_profile["bootstrap_kernel"] = t1 - t0
+        self.build_profile["membership_install"] = t3 - t1
         self.build_profile["threshold_activate"] = t4 - t3
 
     def _absorb_new_tuple(self, pid: int, row: FloatArray, n: int,
@@ -1094,7 +1061,7 @@ class ApproxTopKIndex:
             log.extend_one_pid(reached, pid, ADD_CODE)
             return
         taus = (1.0 - self._eps) * store.kth_vector(reached)
-        evict_pos = eviction_positions(store.min_vector(reached), taus)
+        evict_pos = np.flatnonzero(store.min_vector(reached) < taus)
         if evict_pos.size == 0:
             log.extend_one_pid(reached, pid, ADD_CODE)
         else:
@@ -1139,36 +1106,25 @@ class ApproxTopKIndex:
                 ids, pts = self._db.snapshot()
             backend = self._backend
             q = idxs.shape[0]
-            if backend is not None and \
-                    n_db * q >= _pblocks.REPAIR_PAR_MIN_ELEMS:
+            u_sel = self._u[idxs]
+            if backend is None or n_db * q < _pblocks.REPAIR_PAR_MIN_ELEMS:
+                blocks = [repair_columns(ids, pts, u_sel, 0, q, n_db,
+                                         self._k, self._eps)]
+            else:
                 # Shard the wave over canonical column blocks of the
                 # gathered utilities; block results extend in order.
                 ids_ref = backend.ship(ids)
                 pts_ref = backend.ship(pts)
-                u_ref = backend.ship(self._u[idxs])
-                wave: list[tuple[float, IndexArray, FloatArray] | None] = []
-                for block in backend.map_blocks("repair_columns", [
-                        {"ids": ids_ref, "pts": pts_ref, "u_sel": u_ref,
-                         "start": s, "end": e, "n_db": n_db,
-                         "k": self._k, "eps": self._eps}
-                        for s, e in _pblocks.repair_col_blocks(q)]):
-                    wave.extend(block)
-                return wave
-            scores = pts @ self._u[idxs].T  # (n, q): the repair wave
-            out = []
-            # reprolint: disable=RPL004 -- one pass per repaired utility (q small);
-            for col in range(idxs.shape[0]):
-                s = scores[:, col]
-                if n_db <= self._k:
-                    tau = 0.0
-                else:
-                    kth = np.partition(s, n_db - self._k)[n_db - self._k]
-                    tau = (1.0 - self._eps) * float(kth)
-                hit = s >= tau
-                hit_ids, hit_scores = ids[hit], s[hit]
-                order = np.lexsort((hit_ids, -hit_scores))
-                out.append((tau, hit_ids[order], hit_scores[order]))
-            return out
+                u_ref = backend.ship(u_sel)
+                blocks = backend.map_blocks("repair_columns", [
+                    {"ids": ids_ref, "pts": pts_ref, "u_sel": u_ref,
+                     "start": s, "end": e, "n_db": n_db,
+                     "k": self._k, "eps": self._eps}
+                    for s, e in _pblocks.repair_col_blocks(q)])
+            wave: list[tuple[float, IndexArray, FloatArray] | None] = []
+            for block in blocks:
+                wave.extend(block)
+            return wave
         self._flush_staged()  # the queries below must see every tuple
         out = []
         for i in idxs.tolist():
@@ -1315,10 +1271,7 @@ class _InsertRun:
         if n <= index._k + 1:
             reached = np.arange(index._m_total, dtype=np.intp)
         else:
-            # Exact comparison through the feature-detected compiled
-            # shim (numba prange when available, same NumPy expression
-            # otherwise) — identical results either way.
-            reached = reached_utilities(row, index._thresholds_vector())
+            reached = np.flatnonzero(row >= index._thresholds_vector())
         index._absorb_new_tuple(pid, row, n, reached, log)
         return pid, log
 

@@ -12,9 +12,10 @@ replay digests are invariant across ``--workers 1/2/4``. See
 ``docs/ARCHITECTURE.md``.
 
 Selection: ``FDRMS(..., parallel=)``, ``open_session(parallel=)``, or
-CLI ``repro replay --workers N``. ``parallel=None`` (the default)
-bypasses this package entirely — the engine keeps its historical
-inline code paths.
+CLI ``repro replay --workers N``. ``parallel=None`` (the default) uses
+no backend: the engine calls the bootstrap and repair kernels of
+:mod:`repro.parallel.kernels` inline, and scores insert runs with one
+full GEMM.
 """
 
 from .backend import (
@@ -24,18 +25,14 @@ from .backend import (
     SharedMemoryBackend,
     resolve_backend,
 )
-from .compiled import HAVE_NUMBA, eviction_positions, reached_utilities
 from .shm import ShmArena, ShmRef
 
 __all__ = [
     "ExecutionBackend",
-    "HAVE_NUMBA",
     "ParallelExecutionError",
     "SerialBackend",
     "SharedMemoryBackend",
     "ShmArena",
     "ShmRef",
-    "eviction_positions",
-    "reached_utilities",
     "resolve_backend",
 ]

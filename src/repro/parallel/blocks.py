@@ -38,8 +38,9 @@ is identical for every worker count.
 from __future__ import annotations
 
 #: Elements per bootstrap GEMM chunk — ``chunk = ELEMS // n`` utilities
-#: per block. Must stay equal to the historical ``_bootstrap`` rule:
-#: the default engine and the parallel backends share these boundaries.
+#: per block. The default engine and the parallel backends both chunk by
+#: this rule, and GEMM bits depend on the chunk shape: changing it moves
+#: every bootstrap digest.
 BOOTSTRAP_CHUNK_ELEMS = 4_000_000
 
 #: Row-block height of the sharded insert-run scoring GEMM.

@@ -1,11 +1,12 @@
-"""Pure per-block kernels executed by the parallel backends.
+"""Pure per-block kernels of the engine's bulk loops.
 
-Each kernel is the *exact* per-block computation of the engine loop it
-shards — same NumPy calls, same slice shapes, same operand layouts —
-so a block computed in a worker process is byte-identical to the same
-block computed inline by the serial backend (and, for the bootstrap,
-to the default non-parallel engine, whose historical chunk rule the
-canonical decomposition reuses). Kernels are pure functions of their
+Each kernel is the exact per-block computation of the loop it shards —
+same NumPy calls, same slice shapes, same operand layouts — so a block
+computed in a worker process is byte-identical to the same block
+computed inline. The bootstrap and repair kernels are also the *only*
+bodies of their loops: the default engine calls them inline (the
+bootstrap's canonical chunks are its chunk rule; an inline repair wave
+is the single block ``[0, q)``). Kernels are pure functions of their
 inputs: no engine state, no mutation, no RNG, no wall clock. All
 mutation (MemberStore fills, delta emission) stays in the main process
 and consumes kernel results strictly in block order.
@@ -38,6 +39,24 @@ BootstrapChunkResult = tuple[
 RepairResult = tuple[float, IndexArray, FloatArray]
 
 
+def column_top_k(scores: FloatArray, k: int) -> FloatArray:
+    """The k largest entries of every column of an ``(n, b)`` block.
+
+    Returns a ``(b, k)`` matrix, rows ascending; requires ``n >= k``.
+    For ``k = 1`` this is ``max(axis=0)``, which returns exactly the
+    value a partition puts in its top row. For ``k > 1`` the partition
+    over the full kth range ``[n - k, n)`` runs along the rows of a
+    contiguous ``(b, n)`` copy instead of down the strided columns; it
+    returns the same sorted values on either axis.
+    """
+    if k == 1:
+        return scores.max(axis=0)[:, None]
+    n = scores.shape[0]
+    rows = scores.T.copy()  # (b, n), C order; never a view of scores
+    rows.partition(range(n - k, n), axis=1)
+    return rows[:, n - k:].copy()
+
+
 def bootstrap_chunk(
     pts: FloatArray,
     ids: IndexArray,
@@ -49,11 +68,16 @@ def bootstrap_chunk(
 ) -> BootstrapChunkResult:
     """One utility chunk of the vectorized bootstrap.
 
-    Mirrors the chunk body of ``ApproxTopKIndex._bootstrap`` — the
-    GEMM, the top-k partition, and the column-major membership
-    extraction — returning the raw arrays for the main process to
-    install. ``u`` is the full utility pool; the chunk is the row
-    slice ``u[start:end]``, exactly as the serial loop slices it.
+    The only chunk body of ``ApproxTopKIndex._bootstrap``, run inline
+    or by a backend: the GEMM, the top-k selection
+    (:func:`column_top_k`) and the membership extraction, returning the
+    raw arrays for the caller to install. ``u`` is the full utility
+    pool; the chunk is the row slice ``u[start:end]``.
+
+    Members are found with one flat scan of the contiguous ``(n, b)``
+    score block, which yields them tuple-major; one stable argsort of
+    their column indices puts them utility-major, rows ascending within
+    each utility — the order a column-by-column scan would give.
     """
     n = pts.shape[0]
     block = u[start:end]
@@ -64,15 +88,16 @@ def bootstrap_chunk(
         topk_rows = np.full((b, k), -np.inf)
         topk_rows[:, k - n:] = np.sort(scores, axis=0).T
     else:
-        part = np.partition(scores, range(n - k, n), axis=0)
-        topk_rows = part[n - k:].T  # (b, k) ascending
+        topk_rows = column_top_k(scores, k)  # (b, k) ascending
         taus = (1.0 - eps) * topk_rows[:, 0]
-    hits = scores.T >= taus[:, None]  # (b, n)
-    counts = hits.sum(axis=1)
-    bounds = np.r_[0, np.cumsum(counts)]
-    cols, rows = np.nonzero(hits)
-    member_pids = ids[rows]
-    member_scores = scores.T[hits]
+    flat = np.flatnonzero(scores >= taus)  # row-major over (n, b)
+    rows, cols = np.divmod(flat, b)
+    member_scores = np.take(scores, flat)
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    bounds = np.r_[0, np.cumsum(np.bincount(cols, minlength=b))]
+    member_pids = ids[rows[order]]
+    member_scores = member_scores[order]
     if member_scores.size:
         mins = np.minimum.reduceat(member_scores, bounds[:-1])
     else:
@@ -105,20 +130,20 @@ def repair_columns(
 
     ``u_sel`` is the gathered ``(q, d)`` matrix of affected utilities;
     this kernel scores the alive snapshot against columns
-    ``[start, end)`` and rebuilds each one's membership exactly as the
-    serial brute path does: k-th score partition → τ, ``>= τ`` gather,
-    and the canonical (-score, id) lexsort order.
+    ``[start, end)`` and rebuilds each one's membership: k-th score
+    (:func:`column_top_k`) → τ, ``>= τ`` gather, and the canonical
+    (-score, id) lexsort order. The inline wave is the single block
+    ``[0, q)``.
     """
     scores = pts @ u_sel[start:end].T  # (n, block)
+    if n_db <= k:
+        taus = np.zeros(end - start)
+    else:
+        taus = (1.0 - eps) * column_top_k(scores, k)[:, 0]
     out: list[RepairResult] = []
     # reprolint: disable=RPL004 -- one pass per repaired utility (block small)
-    for col in range(end - start):
+    for col, tau in enumerate(taus.tolist()):
         s = scores[:, col]
-        if n_db <= k:
-            tau = 0.0
-        else:
-            kth = np.partition(s, n_db - k)[n_db - k]
-            tau = (1.0 - eps) * float(kth)
         hit = s >= tau
         hit_ids, hit_scores = ids[hit], s[hit]
         order = np.lexsort((hit_ids, -hit_scores))

@@ -162,7 +162,11 @@ class TenantRegistry:
         self.counters: dict[str, int] = {
             "opened": 0, "resumed": 0, "evicted": 0,
             "evict_checkpoints": 0, "closed": 0, "quota_rejections": 0,
+            "drain_failures": 0,
         }
+        #: ``(tenant_id, repr(exc))`` of every drain that failed in
+        #: :meth:`close_all`: admitted ops that shutdown could not apply.
+        self.drain_errors: list[tuple[str, str]] = []
 
     # -- lookup --------------------------------------------------------
     def __len__(self) -> int:
@@ -340,13 +344,18 @@ class TenantRegistry:
 
     def close_all(self) -> None:
         """Drain and close every tenant (server shutdown, no eviction
-        checkpointing — shutdown must be fast and never raise)."""
+        checkpointing — shutdown must be fast and never raise).
+
+        A failed drain still closes its session; it is counted in
+        ``counters["drain_failures"]`` and kept in :attr:`drain_errors`.
+        """
         for tenant_id in list(self._tenants):
             tenant = self._tenants.pop(tenant_id)
             try:
                 tenant.supervisor.drain()
-            except Exception:
-                pass
+            except Exception as exc:
+                self.counters["drain_failures"] += 1
+                self.drain_errors.append((tenant_id, repr(exc)))
             _close(tenant.session)
             tenant.closed = True
             self.counters["closed"] += 1

@@ -20,12 +20,9 @@ import repro.parallel.blocks as blocks
 from repro.core.fdrms import FDRMS
 from repro.data.database import DELETE, INSERT, Database, Operation
 from repro.parallel import (
-    HAVE_NUMBA,
     SerialBackend,
     SharedMemoryBackend,
     ShmArena,
-    eviction_positions,
-    reached_utilities,
     resolve_backend,
 )
 from repro.parallel.kernels import KERNELS, bootstrap_chunk
@@ -112,23 +109,76 @@ def test_bootstrap_kernel_byte_parity_across_backends():
     u = np.abs(rng.standard_normal((m_total, d)))
     chunks = blocks.bootstrap_chunks(n, m_total)
 
-    def wave(backend):
+    def wave(backend, k):
         payloads = [{"pts": backend.ship(pts), "ids": backend.ship(ids),
                      "u": backend.share("u", 0, u),
-                     "start": s, "end": e, "k": 2, "eps": 0.1}
+                     "start": s, "end": e, "k": k, "eps": 0.1}
                     for s, e in chunks]
         return backend.map_blocks("bootstrap_chunk", payloads)
 
     serial, shm = SerialBackend(), SharedMemoryBackend(2)
     try:
-        results = {"serial": wave(serial), "shm": wave(shm)}
+        for k in (1, 2, 5):
+            results = {"serial": wave(serial, k), "shm": wave(shm, k)}
+            for (s, e), rs, rp in zip(chunks, results["serial"],
+                                      results["shm"]):
+                reference = bootstrap_chunk(pts, ids, u, s, e, k, 0.1)
+                for ref, out_s, out_p in zip(reference, rs, rp):
+                    assert np.array_equal(ref, out_s)
+                    assert np.array_equal(out_s, out_p)
     finally:
         shm.close()
-    for (s, e), rs, rp in zip(chunks, results["serial"], results["shm"]):
-        reference = bootstrap_chunk(pts, ids, u, s, e, 2, 0.1)
-        for ref, out_s, out_p in zip(reference, rs, rp):
-            assert np.array_equal(ref, out_s)
-            assert np.array_equal(out_s, out_p)
+
+
+def _strided_bootstrap_chunk(pts, ids, u, start, end, k, eps):
+    """The bootstrap chunk body before the column-max / row-contiguous
+    selection rule: a partition down the strided axis of the ``(n, b)``
+    score block and membership extraction on the ``scores.T`` view."""
+    n = pts.shape[0]
+    block = u[start:end]
+    b = block.shape[0]
+    scores = pts @ block.T
+    if n <= k:
+        taus = np.zeros(b)
+        topk_rows = np.full((b, k), -np.inf)
+        topk_rows[:, k - n:] = np.sort(scores, axis=0).T
+    else:
+        part = np.partition(scores, range(n - k, n), axis=0)
+        topk_rows = part[n - k:].T
+        taus = (1.0 - eps) * topk_rows[:, 0]
+    hits = scores.T >= taus[:, None]
+    bounds = np.r_[0, np.cumsum(hits.sum(axis=1))]
+    cols, rows = np.nonzero(hits)
+    member_scores = scores.T[hits]
+    mins = (np.minimum.reduceat(member_scores, bounds[:-1])
+            if member_scores.size else np.empty(0))
+    return (taus, topk_rows, bounds, cols, ids[rows], member_scores, mins)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 400])
+def test_bootstrap_chunk_matches_strided_partition(n):
+    # n = 2 < k, n = k = 5, n = k + 1 = 6 for k = 5, and n = 400 over
+    # many small chunks. Points on a quarter grid with duplicated rows
+    # and axis utilities in the pool give exact score ties, also at the
+    # k-th place. Compared in-process: GEMM's last ulp is CPU-dependent.
+    rng = np.random.default_rng(n)
+    d, m_total = 3, 40
+    pts = rng.integers(0, 5, size=(n, d)) / 4.0
+    pts[n // 2:] = pts[: n - n // 2]
+    ids = np.arange(100, 100 + n, dtype=np.intp)
+    u = np.vstack([np.eye(d), np.abs(rng.standard_normal((m_total - d, d)))])
+    spans = blocks.bootstrap_chunks(n, m_total)
+    if n == 400:
+        spans = [(s, min(s + 3, m_total)) for s in range(0, m_total, 3)]
+    spans.append((7, 8))  # a single-column chunk: (1, n) rows view case
+    for k in (1, 2, 5):
+        for s, e in spans:
+            got = bootstrap_chunk(pts, ids, u, s, e, k, 0.25)
+            want = _strided_bootstrap_chunk(pts, ids, u, s, e, k, 0.25)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
 
 
 def test_shm_arena_publish_cache_and_release():
@@ -333,33 +383,6 @@ def test_restore_reestablishes_pool_digest_exact(
     assert survivor.state_digest() == reference.state_digest()
     survivor.close()
     reference.close()
-
-
-# ----------------------------------------------------------------------
-# Compiled scalar tails (feature-detected; CI runs the NumPy branch)
-# ----------------------------------------------------------------------
-
-def test_compiled_shim_matches_numpy_expressions():
-    rng = np.random.default_rng(11)
-    row = rng.standard_normal(257)
-    taus = rng.standard_normal(257)
-    assert np.array_equal(reached_utilities(row, taus),
-                          np.flatnonzero(row >= taus))
-    assert np.array_equal(eviction_positions(row, taus),
-                          np.flatnonzero(row < taus))
-    # Exactly-equal scores must count as reached (>= semantics).
-    assert np.array_equal(reached_utilities(taus.copy(), taus),
-                          np.arange(257))
-    assert eviction_positions(taus.copy(), taus).size == 0
-
-
-def test_have_numba_reflects_environment():
-    try:
-        import numba  # noqa: F401
-        expected = True
-    except ImportError:
-        expected = False
-    assert HAVE_NUMBA is expected
 
 
 # ----------------------------------------------------------------------

@@ -325,6 +325,31 @@ class TestWebSocketTransport:
 # ----------------------------------------------------------------------
 
 class TestTenantRegistry:
+    def test_close_all_reports_drain_failures_and_closes_every_session(
+            self, monkeypatch):
+        registry = TenantRegistry(max_tenants=2)
+        bad = registry.open("bad", _open_payload(_points(3, n=30)))
+        good = registry.open("good", _open_payload(_points(4, n=30)))
+        closed: list[str] = []
+        for tenant in (bad, good):
+            def close(tid: str = tenant.tenant_id,
+                      real: Any = tenant.session.close) -> None:
+                closed.append(tid)
+                real()
+            monkeypatch.setattr(tenant.session, "close", close)
+
+        def failing_drain() -> None:
+            raise RuntimeError("wave failed")
+
+        monkeypatch.setattr(bad.supervisor, "drain", failing_drain)
+        registry.close_all()  # must not raise
+        assert closed == ["bad", "good"]
+        assert bad.closed and good.closed and len(registry) == 0
+        assert registry.counters["closed"] == 2
+        assert registry.counters["drain_failures"] == 1
+        assert registry.drain_errors == [
+            ("bad", "RuntimeError('wave failed')")]
+
     def test_lru_eviction_checkpoints_and_resume_restores_digest(
             self, tmp_path):
         points = _points(7, n=80)

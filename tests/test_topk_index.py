@@ -95,6 +95,23 @@ class TestInsert:
         assert any(d.kind == REMOVE for d in deltas)
         check_invariant(index, db)
 
+    def test_equal_score_is_reached_and_never_evicted(self):
+        # Axis utilities score a tuple by one coordinate, exactly, and
+        # eps = 0.5 halves exactly, so τ_0 = 0.8 / 2 == 0.4 bit for bit.
+        db = Database(np.array([[0.8, 0.1], [0.45, 0.2], [0.3, 0.9]]))
+        index = ApproxTopKIndex(db, np.eye(2), 1, 0.5)
+        assert index.threshold(0) == 0.4
+        run = index.begin_insert_run([[0.4, 0.0], [0.9, 0.0]])
+        pid_eq, deltas = run.step()  # score == τ_0: reached
+        assert (0, pid_eq, ADD) in {(d.u_index, d.tuple_id, d.kind)
+                                    for d in deltas}
+        pid_top, deltas = run.step()  # τ_0 = 0.45, tuple 1's exact score
+        assert index.threshold(0) == 0.45
+        assert {(d.u_index, d.tuple_id, d.kind) for d in deltas
+                if d.kind == REMOVE} == {(0, pid_eq, REMOVE)}
+        assert index.members_of(0) == [1, 0, pid_top]
+        check_invariant(index, db)
+
 
 class TestDelete:
     def test_delete_topk_tuple_rebuilds(self, small_cloud, rng):
